@@ -6,9 +6,9 @@ The router speaks the *exact* wire protocol of a single
 ``repro top``, ``repro health``) works against it.  Behind the socket it
 splits traffic three ways:
 
-* **counting routes** (``/task``, ``/count``, ``/count-answers``,
-  ``/wl-dim``, ``/analyze``) consistent-hash their canonical request
-  digest onto one worker, with router-level **single-flight** (a
+* **counting routes** (``/task`` and its per-verb aliases in
+  :data:`~repro.service.server.VERB_ROUTES`) consistent-hash their
+  request digest onto one worker, with router-level **single-flight** (a
   stampede on one hot task leaves the router as a single worker
   request), bounded **retry** on worker death (connection failures
   resubmit to the next ring owner — a kill never surfaces as a client
@@ -43,7 +43,7 @@ from repro.obs import (
     registry as metrics_registry,
     span,
 )
-from repro.service.server import ServiceServer
+from repro.service.server import VERB_ROUTES, ServiceServer, read_http_head
 from repro.cluster.ring import HashRing
 from repro.cluster.state import REPLICATED_ROUTES, ClusterState
 from repro.utils import stable_key_digest
@@ -55,9 +55,7 @@ __all__ = ["ClusterRouter", "RouterServer", "WorkerUnreachable"]
 _log = get_logger("cluster.router")
 
 #: Idempotent counting routes: hashed, single-flighted, retried, hedged.
-HASHED_ROUTES = frozenset({
-    "/task", "/count", "/count-answers", "/wl-dim", "/analyze",
-})
+HASHED_ROUTES = frozenset({"/task", *VERB_ROUTES})
 
 #: Read-only routes answered by the first live worker.
 DELEGATED_ROUTES = frozenset({
@@ -103,19 +101,10 @@ async def http_call(
                 ).encode("ascii") + data,
             )
             await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("ascii", "replace").split()
+            parts, headers, length = await read_http_head(reader)
             if len(parts) < 2 or not parts[1].isdigit():
-                raise ConnectionError(f"malformed status line {status_line!r}")
+                raise ConnectionError(f"malformed status line {parts!r}")
             status = int(parts[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("ascii", "replace").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
             raw = await reader.readexactly(length) if length else b""
             if headers.get("content-type", "").startswith("application/json"):
                 return status, json.loads(raw) if raw else {}

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph, Vertex
@@ -133,12 +133,6 @@ def subdivide_edges(graph: Graph, times: int = 1) -> Graph:
             previous = internal
         result.add_edge(previous, v)
     return result
-
-
-def map_labels(graph: Graph, function: Callable[[Vertex], Vertex]) -> Graph:
-    """Relabel through an arbitrary injective function."""
-    mapping = {v: function(v) for v in graph.vertices()}
-    return graph.relabelled(mapping)
 
 
 def add_apex(graph: Graph, apex_label: Vertex = "apex") -> Graph:

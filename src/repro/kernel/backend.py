@@ -142,10 +142,6 @@ def force_backend(backend: str | None):
         _forced = previous
 
 
-def forced_backend() -> str | None:
-    return _forced
-
-
 # ----------------------------------------------------------------------
 # selection + accounting
 # ----------------------------------------------------------------------

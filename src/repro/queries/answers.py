@@ -35,7 +35,7 @@ from repro.homs.brute_force import (
     exists_homomorphism,
 )
 from repro.homs.counting import count_homomorphisms
-from repro.queries.extension import ell_copy, gamma_map
+from repro.queries.extension import ell_copy
 from repro.queries.query import ConjunctiveQuery
 from repro.utils import matrix_rank_exact, solve_linear_system_exact
 
@@ -421,8 +421,3 @@ def gamma_pi_colouring(
     (Observation 39)."""
     _, gamma = ell_copy(query, ell)
     return {vertex: gamma[vertex[0]] for vertex in cfi.vertices()}
-
-
-def gamma_of_query(query: ConjunctiveQuery, ell: int) -> dict[Vertex, Vertex]:
-    """Convenience re-export of the γ map (Definition 14)."""
-    return gamma_map(query, ell)

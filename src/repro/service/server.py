@@ -4,14 +4,17 @@ Layers (top to bottom):
 
 * :class:`ServiceServer` / :class:`BackgroundServer` — a minimal
   HTTP/1.1 loop on ``asyncio.start_server`` (stdlib only: parse request
-  line + headers, read ``Content-Length`` body, answer JSON, close);
-* :class:`CountingService` — the operations.  Request bodies decode into
-  the canonical :mod:`repro.api.tasks` specs (the per-verb bodies *are*
-  the spec payloads minus the ``task`` discriminator) and execute on a
+  line + headers with :func:`read_http_head`, which the cluster router
+  shares for responses, read ``Content-Length`` body, answer JSON,
+  close);
+* :class:`CountingService` — the operations.  Every counting route has
+  one admission path: the body decodes off the event loop into a
+  canonical :mod:`repro.api.tasks` spec, executes on a
   :class:`~repro.api.executors.LocalExecutor` bound to the service's
-  engine and registry; every counting operation goes through the
-  :class:`~repro.service.scheduler.RequestScheduler` under a canonical
-  request key, so identical concurrent requests coalesce;
+  engine and registry, and goes through the
+  :class:`~repro.service.scheduler.RequestScheduler` under the key
+  ``(task.cache_key(), target token)``, so identical concurrent requests
+  coalesce — across routes too;
 * one :class:`~repro.engine.HomEngine` shared by all workers (its caches
   are lock-guarded), optionally backed by a
   :class:`~repro.service.store.PersistentStore` so plans and counts
@@ -58,6 +61,11 @@ Routes
 ``GET  /alerts``           the alert rule engine's current state
                            (evaluated on request)
 
+``/count``, ``/count-answers``, ``/wl-dim`` and ``/analyze`` are aliases
+of ``/task`` (:data:`VERB_ROUTES`): the route supplies the task kind, the
+request shares ``/task``'s coalescing, and the response keeps the legacy
+per-verb shape.
+
 Every HTTP response carries the request's trace id in an
 ``X-Repro-Trace`` header; error payloads (status >= 400) repeat it as a
 ``trace_id`` field so clients can quote it when reporting problems.
@@ -68,6 +76,7 @@ adopts it, linking server-side spans into the caller's trace.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import sys
@@ -121,7 +130,6 @@ from repro.service.wire import (
     health_payload,
     kg_from_spec,
     kg_query_from_spec,
-    kg_query_to_spec,
     kg_to_spec,
     kg_update_from_spec,
     readiness_payload,
@@ -135,6 +143,20 @@ from repro.service.wire import (
 )
 
 _MAX_BODY = 32 * 1024 * 1024
+
+#: The per-verb counting routes: path -> the task kind its body decodes
+#: as.  Each is an alias of ``POST /task`` — same admission, same
+#: coalescing key — that answers in the legacy per-verb shape
+#: (:func:`~repro.service.wire.result_to_payload`).  A new task kind
+#: needs no route here: ``/task`` already serves it.
+VERB_ROUTES = {
+    "/count": lambda body: "hom-count",
+    "/count-answers": lambda body: (
+        "kg-answer-count" if "kg_query" in body else "answer-count"
+    ),
+    "/wl-dim": lambda body: "wl-dimension",
+    "/analyze": lambda body: "analyze",
+}
 
 _log = get_logger("server")
 
@@ -177,8 +199,7 @@ class CountingService:
         self.engine = engine
         self.registry = DatasetRegistry()
         # All counting routes execute their task specs on this session;
-        # the executor shares the service engine and registry, so the
-        # generic /task route and the per-verb routes serve identical state.
+        # the executor shares the service engine and registry.
         self.session = Session(
             executor=LocalExecutor(engine=engine, registry=self.registry),
         )
@@ -228,10 +249,10 @@ class CountingService:
         metrics_registry().register_collector(self._collect_health)
         self._routes = {
             ("POST", "/task"): self._op_task,
-            ("POST", "/count"): self._op_count,
-            ("POST", "/count-answers"): self._op_count_answers,
-            ("POST", "/wl-dim"): self._op_wl_dim,
-            ("POST", "/analyze"): self._op_analyze,
+            **{
+                ("POST", verb): functools.partial(self._op_task, verb=verb)
+                for verb in VERB_ROUTES
+            },
             ("POST", "/register-dataset"): self._op_register,
             ("POST", "/target-update"): self._op_target_update,
             ("POST", "/subscribe"): self._op_subscribe,
@@ -366,18 +387,6 @@ class CountingService:
     # ------------------------------------------------------------------
     # task resolution
     # ------------------------------------------------------------------
-    def _decode_task(self, kind: str, body: dict):
-        """Decode a per-verb request body into its canonical task spec.
-
-        The bodies *are* the canonical payloads of :func:`task_to_wire`
-        (clients send the ``task`` discriminator; legacy callers omit it
-        and the route supplies it here)."""
-        if "target" not in body and kind in (
-            "hom-count", "answer-count", "kg-answer-count",
-        ):
-            raise WireError("request is missing the 'target' field")
-        return task_from_wire({**body, "task": kind})
-
     def _target_token(self, task):
         """The coalescing token of a task's target at admission time.
 
@@ -403,8 +412,16 @@ class CountingService:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    async def _op_task(self, body: dict) -> dict:
-        """The generic route: any canonical task payload, full result out."""
+    async def _op_task(self, body: dict, verb: str | None = None) -> dict:
+        """Every counting route: decode, key, coalesce, run.
+
+        ``POST /task`` takes any canonical task payload and answers the
+        full result; a per-verb alias (``verb``, a :data:`VERB_ROUTES`
+        path) supplies the task kind and answers the legacy shape.  Both
+        coalesce under one key, ``(task.cache_key(), token)``, which
+        covers the dataset name and the raw query text — so a coalesced
+        waiter's result always echoes its own request.
+        """
 
         # Decoding (graph specs, defensive copies, eager query parsing),
         # token resolution, and the spec digest all do CPU work on inline
@@ -412,7 +429,8 @@ class CountingService:
         # Member tokens also validate dataset names up front and keep
         # batch keys content-accurate for coalescing.
         def admission() -> tuple:
-            task = task_from_wire(body)
+            kind = VERB_ROUTES[verb](body) if verb else body.get("task")
+            task = task_from_wire({**body, "task": kind})
             if isinstance(task, TaskBatch):
                 token: object = tuple(
                     self._target_token(member) for member in task
@@ -436,98 +454,9 @@ class CountingService:
         result = await self.scheduler.submit(
             ("task", digest, token), lambda: self.session.run(task),
         )
-        return result_to_wire(result)
-
-    async def _op_count(self, body: dict) -> dict:
-        task = self._decode_task("hom-count", body)
-        token = self._target_token(task)
-        key = ("count", task.pattern.edge_fingerprint(), token)
-        # The executor resolves one serving-state snapshot per run (shard
-        # fan-out included) and plan describe() stays on the worker.
-        result = await self.scheduler.submit(
-            key, lambda: self.session.run(task),
-        )
-        payload = result_to_payload(result)
-        # Coalesced waiters share the first submitter's result; re-echo
-        # *this* caller's target name (tokens are content-derived, so two
-        # names over identical content may share one computation).
-        if isinstance(task.target, str) and payload["target"] != task.target:
-            payload = {**payload, "target": task.target}
-        return payload
-
-    async def _op_count_answers(self, body: dict) -> dict:
-        if "kg_query" in body:
-            return await self._op_count_kg_answers(body)
-        from repro.queries.parser import format_query
-
-        task = self._decode_task("answer-count", body)
-        token = self._target_token(task)
-        key = (
-            "count-answers",
-            format_query(task.parsed(), style="logic"),
-            task.method,
-            token,
-        )
-        payload = await self.scheduler.submit(
-            key, lambda: result_to_payload(self.session.run(task)),
-        )
-        # Re-echo *this* caller's raw query text and target name (the
-        # coalescing key uses the canonical logic form).
-        target_name = task.target if isinstance(task.target, str) else None
-        if payload.get("query") != task.query or (
-            target_name is not None and payload.get("target") != target_name
-        ):
-            payload = {**payload, "query": task.query}
-            if target_name is not None:
-                payload["target"] = target_name
-        return payload
-
-    async def _op_count_kg_answers(self, body: dict) -> dict:
-        task = self._decode_task("kg-answer-count", body)
-        if isinstance(task.target, str):
-            token = self._target_token(task)
-        else:
-            # The inline content digest is CPU-bound; keep it off the
-            # event loop so concurrent requests stay responsive.  (The
-            # gadget encoding itself happens on the worker, memoised per
-            # spec by the executor.)
-            token = (
-                "inline",
-                await asyncio.get_running_loop().run_in_executor(
-                    None, lambda: stable_key_digest(kg_to_spec(task.target)),
-                ),
-            )
-        key = (
-            "kg-count-answers",
-            stable_key_digest(kg_query_to_spec(task.query)),
-            token,
-        )
-        payload = await self.scheduler.submit(
-            key, lambda: result_to_payload(self.session.run(task)),
-        )
-        if isinstance(task.target, str) and payload["target"] != task.target:
-            payload = {**payload, "target": task.target}
-        return payload
-
-    async def _op_wl_dim(self, body: dict) -> dict:
-        task = self._decode_task("wl-dimension", body)
-        payload = await self.scheduler.submit(
-            ("wl-dim", task.query.strip()),
-            lambda: result_to_payload(self.session.run(task)),
-        )
-        if payload.get("query") != task.query:  # coalesced onto another's
-            payload = {**payload, "query": task.query}
-        return payload
-
-    async def _op_analyze(self, body: dict) -> dict:
-        task = self._decode_task("analyze", body)
-        payload = await self.scheduler.submit(
-            ("analyze", task.query.strip()),
-            lambda: result_to_payload(self.session.run(task)),
-        )
-        if payload.get("query") != task.query:
-            payload = {**payload, "query": task.query}
-        return payload
+        if verb is None:
+            return result_to_wire(result)
+        return result_to_payload(result)
 
     async def _op_register(self, body: dict) -> dict:
         name = _require(body, "name")
@@ -999,6 +928,27 @@ class CountingService:
 # ----------------------------------------------------------------------
 # HTTP transport
 # ----------------------------------------------------------------------
+async def read_http_head(
+    reader: asyncio.StreamReader,
+) -> tuple[list[str], dict[str, str], int]:
+    """Read one HTTP/1.1 message head — a request's or a response's.
+
+    Returns the start line split on whitespace, the headers (names
+    lower-cased) and the ``Content-Length`` (0 when absent).  Raises
+    ``ValueError`` for a non-integer length; judging the start line is
+    the caller's job.
+    """
+    start_line = (await reader.readline()).decode("ascii", "replace").split()
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("ascii", "replace").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return start_line, headers, int(headers.get("content-length", "0") or "0")
+
+
 class ServiceServer:
     """Bind a :class:`CountingService` to a TCP port (asyncio, HTTP/1.1)."""
 
@@ -1080,20 +1030,11 @@ class ServiceServer:
         self, reader: asyncio.StreamReader,
     ) -> tuple[int, dict | str, str | None]:
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("ascii", "replace").split()
+            parts, headers, length = await read_http_head(reader)
             if len(parts) < 2:
                 return 400, _bad_request("malformed request line"), None
             method, target = parts[0], parts[1]
             path, _, query = target.partition("?")
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("ascii", "replace").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
             if length > _MAX_BODY:
                 return 400, _bad_request("request body too large"), None
             raw = await reader.readexactly(length) if length else b""

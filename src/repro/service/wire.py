@@ -463,23 +463,6 @@ def count_answers_payload(
     return payload
 
 
-def count_payload(
-    count: int,
-    pattern: Graph,
-    target_name,
-    plan: str | None = None,
-    shards: int = 1,
-) -> dict:
-    return {
-        "kind": "count",
-        "pattern": graph_summary(pattern),
-        "target": target_name,
-        "count": count,
-        "plan": plan,
-        "shards": shards,
-    }
-
-
 def dynamic_stats_payload(stats) -> dict:
     """The version/delta statistics block (``DynamicStats.snapshot()``
     shape) shared by ``POST /target-update``, ``GET /stats``,

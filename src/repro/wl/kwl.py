@@ -26,9 +26,8 @@ which :func:`k_wl_equivalent` dispatches to automatically.
 from __future__ import annotations
 
 from itertools import product
-from typing import Hashable
 
-from repro.graphs.graph import Graph, Vertex
+from repro.graphs.graph import Graph
 from repro.graphs.indexed import IndexedGraph
 from repro.wl.refinement import ColourInterner, wl_1_equivalent
 
@@ -207,17 +206,3 @@ def wl_distinguishing_dimension(
         if not k_wl_equivalent(first, second, k):
             return k
     return None
-
-
-def initial_partition_from_colours(
-    graph: Graph,
-    k: int,
-    vertex_colours: dict[Vertex, Hashable],
-) -> dict[Tuple, tuple]:
-    """Atomic types enriched with vertex colours — the initial partition a
-    GNN with non-trivial input features induces (Proposition 3)."""
-    tuples = product(graph.vertices(), repeat=k)
-    return {
-        t: (atomic_type(graph, t), tuple(vertex_colours[v] for v in t))
-        for t in tuples
-    }

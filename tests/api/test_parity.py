@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.api import (
+    AnalyzeTask,
     AnswerCountTask,
     HomCountTask,
     KgAnswerCountTask,
@@ -29,7 +30,12 @@ from repro.graphs.io import to_graph6
 from repro.kg import KnowledgeGraph, kg_query_from_triples
 from repro.service import BackgroundServer, ServiceClient
 from repro.service.client import ServiceClient as ClientClass
-from repro.service.wire import task_from_wire, task_to_wire
+from repro.service.wire import (
+    result_from_wire,
+    result_to_payload,
+    task_from_wire,
+    task_to_wire,
+)
 
 TEXT = "q(x1, x2) :- E(x1, y), E(x2, y)"
 
@@ -128,14 +134,37 @@ class TestCliServicePayloadParity:
         assert main(["count", TEXT, "--graph6", to_graph6(host), "--json"]) == 0
         cli_payload = json.loads(capsys.readouterr().out)
         task = AnswerCountTask(TEXT, host)
+        kg = KnowledgeGraph(
+            vertices={"a": "User", "b": "Item"}, triples=[("a", "likes", "b")],
+        )
+        kg_query = kg_query_from_triples([("x", "likes", "y")], ["x"])
+        # One input per VERB_ROUTES entry: (per-verb call, the same spec).
+        cases = [
+            (lambda c: c.count(cycle_graph(4), host),
+             HomCountTask(cycle_graph(4), host)),
+            (lambda c: c.count_answers(TEXT, host), task),
+            (lambda c: c.count_kg_answers(kg_query, kg),
+             KgAnswerCountTask(kg_query, kg)),
+            (lambda c: c.wl_dim(TEXT), WlDimensionTask(TEXT)),
+            (lambda c: c.analyze(TEXT), AnalyzeTask(TEXT)),
+        ]
         try:
             with BackgroundServer(workers=1) as server:
                 client = ServiceClient(port=server.port)
                 client.wait_ready()
                 verb_payload = client.count_answers(TEXT, host)
                 task_payload = client.run_task(task)
+                pairs = [
+                    (verb(client), client.run_task(spec))
+                    for verb, spec in cases
+                ]
         finally:
             set_default_engine(None)
+        # every per-verb response is /task's result in the legacy shape
+        for verb_response, task_response in pairs:
+            assert verb_response == result_to_payload(
+                result_from_wire(task_response),
+            )
         assert cli_payload == verb_payload
         # the generic route carries the same value and spec identity
         assert task_payload["kind"] == "result"

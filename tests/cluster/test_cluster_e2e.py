@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.api import HomCountTask
 from repro.cluster import Cluster, ClusterRouter
 from repro.graphs import (
     cycle_graph,
@@ -21,7 +22,9 @@ from repro.graphs import (
     random_graph,
 )
 from repro.homs import count_homomorphisms_brute
+from repro.obs import registry as metrics_registry
 from repro.service.client import ServiceClient
+from repro.service.wire import task_to_wire
 
 
 @pytest.fixture(scope="module")
@@ -108,32 +111,58 @@ class TestClusterServing:
         assert len(cluster.router.state.entries) == log_before
 
     def test_single_flight_coalesces_stampede(self, client, cluster):
-        """A stampede of identical cold requests leaves the router as a
-        single worker request: the router's coalesced counter moves."""
+        """A stampede of identical requests leaves the router as a single
+        worker request: one forward, and the router's coalesced counter
+        moves by one per joiner.  The forward is held on an event until
+        every request has joined, so the overlap is certain."""
+        import asyncio
+
         pattern = cycle_graph(5)
-        host = random_graph(24, 0.5, seed=77)  # slow enough to overlap
+        host = random_graph(12, 0.5, seed=77)
         client.register_graph("hot", host)
-        results: list[dict] = []
-        errors: list[Exception] = []
+        router = cluster.router
+        coalesced = metrics_registry().counter("repro_router_coalesced_total")
+        body = task_to_wire(HomCountTask(pattern, "hot"))
+        stampede = 6
+        forwards: list[str] = []
 
-        def hammer():
+        async def scenario():
+            release = asyncio.Event()
+            forward = router._forward_with_retry
+
+            async def held_forward(path, *args, **kwargs):
+                forwards.append(path)
+                await release.wait()
+                return await forward(path, *args, **kwargs)
+
+            router._forward_with_retry = held_forward
             try:
-                results.append(
-                    ServiceClient(port=cluster.port).count(pattern, "hot"),
-                )
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
+                before = coalesced.value
+                calls = [
+                    asyncio.create_task(router.handle("POST", "/count", body))
+                    for _ in range(stampede)
+                ]
+                deadline = time.monotonic() + 10.0
+                while (
+                    coalesced.value - before < stampede - 1
+                    and time.monotonic() < deadline
+                ):
+                    await asyncio.sleep(0.001)
+                release.set()
+                responses = await asyncio.gather(*calls)
+                return responses, coalesced.value - before
+            finally:
+                release.set()
+                del router._forward_with_retry
 
-        threads = [threading.Thread(target=hammer) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        values = {response["count"] for response in results}
-        assert len(values) == 1
-        metrics = cluster.router.request_counts
-        assert metrics.get("/count", 0) >= 1
+        responses, joined = asyncio.run_coroutine_threadsafe(
+            scenario(), cluster._loop,
+        ).result(timeout=60.0)
+        assert forwards == ["/count"]
+        assert joined == stampede - 1
+        expected = count_homomorphisms_brute(pattern, host)
+        assert [status for status, _, _ in responses] == [200] * stampede
+        assert {payload["count"] for _, payload, _ in responses} == {expected}
 
 
 class TestRouterAggregation:
