@@ -155,15 +155,14 @@ class DPPlan(CountPlan):
     instructions: Sequence[tuple] = field(repr=False)
     kind: PlanKind = "dp"
 
-    def execute(self, target, allowed=None, backend: str = "auto"):
+    def execute(self, target, allowed=None):
         """Count against ``target``.
 
-        ``backend`` picks the evaluation tier: ``'auto'`` applies the
-        kernel cost model (numpy for large-enough targets when
-        importable), ``'python'`` pins the pure tape (the oracle),
-        ``'numpy'`` pins the vectorised tape.  A numpy run that could
-        leave int64 falls back to the pure tape — results are exact on
-        every tier.
+        The kernel cost model picks the evaluation tier (numpy for
+        large-enough targets when importable; pin one with
+        :func:`repro.kernel.force_backend` or ``REPRO_KERNEL``).  The pure
+        tape is the oracle; a numpy run that could leave int64 falls back
+        to it — results are exact on every tier.
         """
         if target.num_vertices() == 0:
             return 0
@@ -171,7 +170,7 @@ class DPPlan(CountPlan):
 
         from repro import kernel
 
-        tier = kernel.resolve("dp", indexed_target.n, backend)
+        tier = kernel.select("dp", indexed_target.n)
         if tier == "numpy" and kernel.dp_packable(indexed_target.n, self.width + 1):
             from repro.kernel import dp_numpy
 
@@ -304,9 +303,11 @@ def _compile_instructions(pattern: Graph, root: NiceNode) -> list[tuple]:
     return instructions
 
 
-def compile_dp_plan(pattern: Graph) -> DPPlan:
-    """Compile the treewidth-DP plan (optimal decomposition, flat tape)."""
-    root = nice_tree_decomposition(optimal_tree_decomposition(pattern))
+def compile_dp_plan(pattern: Graph, root: NiceNode | None = None) -> DPPlan:
+    """Compile the treewidth-DP plan (flat tape) over ``root``, a nice
+    decomposition of ``pattern``; an optimal one is computed if absent."""
+    if root is None:
+        root = nice_tree_decomposition(optimal_tree_decomposition(pattern))
     return DPPlan(
         pattern=pattern,
         width=root.width(),

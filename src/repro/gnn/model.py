@@ -16,7 +16,7 @@ from itertools import product
 
 from repro.graphs.graph import Graph
 from repro.wl.kwl import atomic_type
-from repro.wl.refinement import ColourInterner
+from repro.wl.refinement import ColourInterner, colour_histogram
 
 
 class OrderKGNN:
@@ -109,46 +109,20 @@ class OrderKGNN:
         """The permutation-invariant readout: the multiset of tuple
         features.  Any graph-level function an order-k GNN computes factors
         through this histogram."""
-        features = self.run(graph, interner)
-        histogram: dict[int, int] = {}
-        for feature in features.values():
-            histogram[feature] = histogram.get(feature, 0) + 1
-        return histogram
+        return colour_histogram(self.run(graph, interner))
 
     def distinguishes(self, first: Graph, second: Graph) -> bool:
         """Can *any* order-k GNN tell the graphs apart?  Equivalent to
         k-WL-distinguishability (Proposition 3).
 
-        The two graphs are refined in lockstep with a shared palette so the
-        feature identifiers stay comparable at every layer.
+        Both readouts are computed over one shared palette.  Feature ids
+        encode a tuple's whole layer history, so equal final histograms
+        are exactly the lockstep criterion (and force equal stopping
+        layers).
         """
-
-        def histogram(features: dict) -> dict:
-            result: dict[int, int] = {}
-            for feature in features.values():
-                result[feature] = result.get(feature, 0) + 1
-            return result
-
         if first.num_vertices() != second.num_vertices():
             return True
         interner = ColourInterner()
-        features_a = self.initial_features(first, interner)
-        features_b = self.initial_features(second, interner)
-        if histogram(features_a) != histogram(features_b):
-            return True
-        max_layers = (
-            self.num_layers
-            if self.num_layers is not None
-            else max(len(features_a), 1)
+        return self.readout_histogram(first, interner) != (
+            self.readout_histogram(second, interner)
         )
-        for _ in range(max_layers):
-            num_classes = len(
-                set(features_a.values()) | set(features_b.values()),
-            )
-            features_a = self._layer(first, features_a, interner)
-            features_b = self._layer(second, features_b, interner)
-            if histogram(features_a) != histogram(features_b):
-                return True
-            if len(set(features_a.values()) | set(features_b.values())) == num_classes:
-                break
-        return False

@@ -18,42 +18,25 @@ from repro.graphs.graph import Graph, Vertex
 Colouring = Mapping[Vertex, Hashable]
 
 
-def _refine_colours(graph: Graph, colours: dict[Vertex, Hashable]) -> dict[Vertex, int]:
-    """Run colour refinement to a stable partition; return integer colours.
-
-    The integer colour ids are *canonical across graphs*: two vertices in
-    different graphs receive the same id iff their refinement histories
-    match, so the result can be used to pair up candidate images.
-    """
-    current = dict(colours)
-    palette: dict[Hashable, int] = {}
-
-    def intern(signature: Hashable) -> int:
-        if signature not in palette:
-            palette[signature] = len(palette)
-        return palette[signature]
-
-    current = {v: intern(("init", c)) for v, c in current.items()}
-    for _ in range(graph.num_vertices() + 1):
-        updated = {
-            v: intern(
-                (current[v], tuple(sorted(current[u] for u in graph.neighbours(v)))),
-            )
-            for v in graph.vertices()
-        }
-        if len(set(updated.values())) == len(set(current.values())):
-            return updated
-        current = updated
-    return current
-
-
 def _joint_refinement(
     first: Graph,
     second: Graph,
     first_colours: Colouring,
     second_colours: Colouring,
 ) -> tuple[dict[Vertex, int], dict[Vertex, int]] | None:
-    """Refine both graphs with a shared palette; ``None`` if histograms differ."""
+    """Refine both graphs with a shared palette; ``None`` if histograms differ.
+
+    The disjoint union is refined once through the interned 1-WL loop, so
+    two vertices on either side share an id iff their refinement histories
+    match — the ids pair up candidate images for the search.
+    """
+    # Imported lazily: the wl package imports the graphs package.
+    from repro.wl.refinement import (
+        ColourInterner,
+        colour_histogram,
+        colour_refinement,
+    )
+
     union = Graph()
     for v in first.vertices():
         union.add_vertex((0, v))
@@ -65,17 +48,10 @@ def _joint_refinement(
         union.add_edge((1, u), (1, v))
     seeds = {(0, v): first_colours[v] for v in first.vertices()}
     seeds.update({(1, v): second_colours[v] for v in second.vertices()})
-    refined = _refine_colours(union, seeds)
+    refined = colour_refinement(union, seeds, interner=ColourInterner())
     left = {v: refined[(0, v)] for v in first.vertices()}
     right = {v: refined[(1, v)] for v in second.vertices()}
-
-    def histogram(colouring: dict[Vertex, int]) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for colour in colouring.values():
-            counts[colour] = counts.get(colour, 0) + 1
-        return counts
-
-    if histogram(left) != histogram(right):
+    if colour_histogram(left) != colour_histogram(right):
         return None
     return left, right
 

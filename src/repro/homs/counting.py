@@ -6,8 +6,10 @@ counter, the treewidth DP, and — for ``method='auto'`` — the
 (matrix closed form, DP instruction tape, or brute force, chosen by a
 treewidth-aware cost model) and caches both plans and finished counts.
 
-The explicit ``'brute'``/``'dp'`` methods bypass the engine entirely; they
-are the uncached reference backends the engine is tested against.
+The explicit ``'brute'``/``'dp'`` methods bypass the engine's caches:
+``'dp'`` runs the engine's :class:`~repro.engine.plans.DPPlan` tape without
+its plan or count caches, and ``'brute'`` is the independent reference the
+engine is tested against.
 """
 
 from __future__ import annotations

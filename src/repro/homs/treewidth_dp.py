@@ -10,13 +10,10 @@ Supports the same ``allowed`` restriction as the brute-force counter, so
 colour-prescribed homomorphism counts (Definitions 30/48) inherit the
 treewidth-parameterised running time.
 
-DP tables are keyed by tuples of *target indices* (the
-:class:`~repro.graphs.indexed.IndexedGraph` encoding), bags are ordered by
-*pattern index* — a total order, unlike the seed's ``repr``-sort, which
-could collide when two labels shared a ``repr`` — and edge checks are
-neighbourhood-bitset intersections.  For a pattern compiled once and
-executed many times, use :class:`repro.engine.plans.DPPlan` instead; this
-module is the uncached reference backend.
+There is one DP evaluator: :func:`count_homomorphisms_dp` compiles the
+engine's :class:`~repro.engine.plans.DPPlan` instruction tape and runs it,
+without the engine's plan and count caches.  The independent reference is
+the brute-force counter.
 """
 
 from __future__ import annotations
@@ -27,150 +24,34 @@ from repro.graphs.graph import Graph, Vertex
 from repro.treewidth.exact import optimal_tree_decomposition
 from repro.treewidth.nice import NiceNode, nice_tree_decomposition
 
-# A DP table maps "bag assignment" keys to counts.  Keys are tuples of
-# target indices, ordered by the pattern indices of the node's bag.
-_Table = dict[tuple, int]
-
 
 def count_homomorphisms_dp(
     pattern: Graph,
     target: Graph,
     allowed: Mapping[Vertex, frozenset] | None = None,
     root: NiceNode | None = None,
-    backend: str = "auto",
 ) -> int:
     """``|Hom(pattern, target)|`` via tree-decomposition DP.
 
     ``root`` can supply a pre-computed nice decomposition of ``pattern``
     (useful when counting against many targets, e.g. the WL
     indistinguishability oracle); otherwise an optimal one is computed.
-
-    ``backend`` picks the table-evaluation tier: ``'python'`` is the
-    in-line dict DP below (the differential oracle), ``'numpy'`` lowers
-    the decomposition to the compiled instruction tape and evaluates it
-    with the vectorised kernel (:mod:`repro.kernel.dp_numpy`), and
-    ``'auto'`` lets the kernel cost model decide per target.  All tiers
-    return the same exact count; int64-unsafe inputs fall back here.
+    The compiled plan is memoised on a supplied ``root``, so repeated
+    calls pay the pattern-side compile once.
     """
     if pattern.num_vertices() == 0:
         return 1
-    if target.num_vertices() == 0:
-        return 0
+    # Imported lazily: repro.engine pulls in the homs package.
+    from repro.engine import plans
+
     if root is None:
-        decomposition = optimal_tree_decomposition(pattern)
-        root = nice_tree_decomposition(decomposition)
-
-    from repro import kernel
-
-    tier = kernel.resolve("dp", target.num_vertices(), backend)
-    if tier == "numpy":
-        value = _count_via_tape(pattern, target, allowed, root)
-        if value is not None:
-            return value
-
-    indexed_pattern = pattern.to_indexed()
-    indexed_target = target.to_indexed()
-    encode = indexed_pattern.codec.encode
-    pattern_adjacency = indexed_pattern.adjacency_lists()
-    target_bits = indexed_target.bitsets()
-    full_pool = (1 << indexed_target.n) - 1
-
-    def bag_order(bag: frozenset) -> list[int]:
-        return sorted(encode(v) for v in bag)
-
-    def pool_for(vertex: Vertex) -> int:
-        if allowed is not None and vertex in allowed:
-            return indexed_target.codec.encode_mask(allowed[vertex])
-        return full_pool
-
-    tables: dict[int, _Table] = {}
-
-    for node in root.iter_postorder():
-        if node.kind == "leaf":
-            table: _Table = {(): 1}
-        elif node.kind == "introduce":
-            child = node.children[0]
-            child_table = tables.pop(id(child))
-            child_order = bag_order(child.bag)
-            vertex_index = encode(node.vertex)
-            position = bag_order(node.bag).index(vertex_index)
-            child_bag_indices = set(child_order)
-            neighbour_positions = [
-                child_order.index(u)
-                for u in pattern_adjacency[vertex_index]
-                if u in child_bag_indices
-            ]
-            base_pool = pool_for(node.vertex)
-            table = {}
-            for key, count in child_table.items():
-                pool = base_pool
-                for neighbour_position in neighbour_positions:
-                    pool &= target_bits[key[neighbour_position]]
-                while pool:
-                    low_bit = pool & -pool
-                    pool ^= low_bit
-                    image = low_bit.bit_length() - 1
-                    new_key = key[:position] + (image,) + key[position:]
-                    table[new_key] = table.get(new_key, 0) + count
-        elif node.kind == "forget":
-            child = node.children[0]
-            child_table = tables.pop(id(child))
-            drop = bag_order(child.bag).index(encode(node.vertex))
-            table = {}
-            for key, count in child_table.items():
-                new_key = key[:drop] + key[drop + 1:]
-                table[new_key] = table.get(new_key, 0) + count
-        elif node.kind == "join":
-            left, right = node.children
-            left_table = tables.pop(id(left))
-            right_table = tables.pop(id(right))
-            if len(left_table) > len(right_table):
-                left_table, right_table = right_table, left_table
-            table = {}
-            for key, count in left_table.items():
-                other = right_table.get(key)
-                if other:
-                    table[key] = count * other
-        else:  # pragma: no cover - validate_nice rejects unknown kinds
-            raise AssertionError(f"unknown node kind {node.kind!r}")
-        tables[id(node)] = table
-
-    root_table = tables[id(root)]
-    return root_table.get((), 0)
-
-
-def _count_via_tape(pattern, target, allowed, root: NiceNode) -> int | None:
-    """Lower ``root`` to the compiled instruction tape and run it on the
-    vectorised kernel; ``None`` means "fall back to the dict DP"."""
-    from repro import kernel
-    from repro.engine.plans import _compile_instructions
-    from repro.kernel import dp_numpy
-
-    indexed_target = target.to_indexed()
-    max_bag = root.width() + 1
-    if not dp_numpy.packable(indexed_target.n, max_bag):
-        kernel.note_fallback("dp", "overflow")
-        return None
-    if allowed is None:
-        masks = None
+        plan = plans.compile_dp_plan(pattern)
     else:
-        encode_mask = indexed_target.codec.encode_mask
-        masks = {vertex: encode_mask(pool) for vertex, pool in allowed.items()}
-    # Memoise the lowered tape on the decomposition root: repeated calls
-    # with a prepared_pattern() root (the hom-profile access shape) pay
-    # the pattern-side compile once, like DPPlan does.
-    cache = getattr(root, "_tape_cache", None)
-    if cache is None or cache[0] is not pattern:
-        cache = (pattern, _compile_instructions(pattern, root))
-        root._tape_cache = cache
-    try:
-        return dp_numpy.execute_tape(
-            cache[1], indexed_target, max_bag,
-            allowed_masks=masks,
-        )
-    except kernel.KernelUnsupported as exc:
-        kernel.note_fallback("dp", exc.reason)
-        return None
+        plan = getattr(root, "_dp_plan", None)
+        if plan is None or plan.pattern is not pattern:
+            plan = plans.compile_dp_plan(pattern, root)
+            root._dp_plan = plan
+    return plan.execute(target, allowed)
 
 
 def prepared_pattern(pattern: Graph) -> NiceNode:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import GraphError
+from repro.wl.refinement import ColourInterner, colour_histogram
 
 Vertex = Hashable
 Label = Hashable
@@ -178,23 +179,21 @@ def count_kg_homomorphisms(
     return sum(1 for _ in enumerate_kg_homomorphisms(pattern, target, fixed))
 
 
-def kg_colour_refinement(graph: KnowledgeGraph) -> dict[Vertex, int]:
-    """1-WL for knowledge graphs: initial colour = vertex label, messages
-    carry (direction, edge label, neighbour colour)."""
-    palette: dict = {}
-
-    def intern(signature) -> int:
-        if signature not in palette:
-            palette[signature] = len(palette)
-        return palette[signature]
-
+def _kg_refinement(
+    graph: KnowledgeGraph,
+    interner: ColourInterner,
+) -> dict[Vertex, int]:
+    """KG colour refinement to stability over a caller-supplied palette:
+    initial colour = vertex label, messages carry (direction, edge label,
+    neighbour colour)."""
     colours = {
-        v: intern(("label", repr(graph.vertex_label(v)))) for v in graph.vertices()
+        v: interner.intern(("label", repr(graph.vertex_label(v))))
+        for v in graph.vertices()
     }
     for _ in range(max(graph.num_vertices(), 1)):
         num_classes = len(set(colours.values()))
         colours = {
-            v: intern(
+            v: interner.intern(
                 (
                     colours[v],
                     tuple(sorted(
@@ -214,57 +213,23 @@ def kg_colour_refinement(graph: KnowledgeGraph) -> dict[Vertex, int]:
     return colours
 
 
+def kg_colour_refinement(graph: KnowledgeGraph) -> dict[Vertex, int]:
+    """1-WL for knowledge graphs: initial colour = vertex label, messages
+    carry (direction, edge label, neighbour colour)."""
+    return _kg_refinement(graph, ColourInterner())
+
+
 def kg_wl_1_equivalent(first: KnowledgeGraph, second: KnowledgeGraph) -> bool:
-    """Lockstep KG colour refinement with a shared palette."""
+    """KG 1-WL-equivalence: equal stable colour histograms under one
+    shared palette.
+
+    Interned ids encode a vertex's whole refinement history, so equal
+    final histograms are exactly the lockstep criterion (and force equal
+    stopping rounds).
+    """
     if first.num_vertices() != second.num_vertices():
         return False
-    palette: dict = {}
-
-    def intern(signature) -> int:
-        if signature not in palette:
-            palette[signature] = len(palette)
-        return palette[signature]
-
-    def initial(graph: KnowledgeGraph) -> dict:
-        return {
-            v: intern(("label", repr(graph.vertex_label(v))))
-            for v in graph.vertices()
-        }
-
-    def refine(graph: KnowledgeGraph, colours: dict) -> dict:
-        return {
-            v: intern(
-                (
-                    colours[v],
-                    tuple(sorted(
-                        ("out", repr(label), colours[target])
-                        for label, target in graph.out_edges(v)
-                    )),
-                    tuple(sorted(
-                        ("in", repr(label), colours[source])
-                        for label, source in graph.in_edges(v)
-                    )),
-                ),
-            )
-            for v in graph.vertices()
-        }
-
-    def histogram(colours: dict) -> dict:
-        result: dict[int, int] = {}
-        for value in colours.values():
-            result[value] = result.get(value, 0) + 1
-        return result
-
-    colours_a = initial(first)
-    colours_b = initial(second)
-    if histogram(colours_a) != histogram(colours_b):
-        return False
-    for _ in range(max(first.num_vertices(), 1)):
-        num_classes = len(set(colours_a.values()) | set(colours_b.values()))
-        colours_a = refine(first, colours_a)
-        colours_b = refine(second, colours_b)
-        if histogram(colours_a) != histogram(colours_b):
-            return False
-        if len(set(colours_a.values()) | set(colours_b.values())) == num_classes:
-            break
-    return True
+    interner = ColourInterner()
+    return colour_histogram(_kg_refinement(first, interner)) == (
+        colour_histogram(_kg_refinement(second, interner))
+    )

@@ -18,7 +18,9 @@ Hot paths run in index space over
 * the shared-:class:`ColourInterner` path of :func:`colour_refinement`
   keeps the seed's round-by-round signature structure (its interned ids
   are part of the public contract) but iterates index arrays, not
-  label-keyed dicts.
+  label-keyed dicts.  It is the one synchronous interned loop: the
+  isomorphism search (:mod:`repro.graphs.isomorphism`) refines its
+  disjoint union through it to pair up candidate images.
 """
 
 from __future__ import annotations
@@ -49,23 +51,21 @@ class ColourInterner:
 def indexed_colour_partition(
     graph: IndexedGraph,
     initial: Sequence[int] | None = None,
-    backend: str = "auto",
 ) -> list[int]:
     """The stable 1-WL partition of ``graph`` as a class-id array.
 
     ``initial`` (when given) seeds the partition: vertices with equal
     initial ids start in the same class.  Returned ids are dense and
-    deterministic for a given graph *and backend* but are *not*
-    comparable across graphs (or backends) — compare partitions, or
+    deterministic for a given graph *and kernel tier* but are *not*
+    comparable across graphs (or tiers) — compare partitions, or
     histograms after refining a disjoint union.
 
-    ``backend`` selects the evaluation tier: ``'auto'`` lets the kernel
-    cost model pick (the vectorised counting-sort refinement of
-    :mod:`repro.kernel.wl_numpy` for large-enough graphs when numpy is
-    importable), ``'python'`` pins the worklist refinement below — the
-    differential oracle — and ``'numpy'`` pins the vectorised pass.
-    Both compute the same partition (the coarsest equitable refinement
-    of the seed, which is unique).
+    The kernel cost model picks the evaluation tier: the vectorised
+    counting-sort refinement of :mod:`repro.kernel.wl_numpy` for
+    large-enough graphs when numpy is importable, else the worklist
+    refinement below — the differential oracle.  Both compute the same
+    partition (the coarsest equitable refinement of the seed, which is
+    unique).
 
     Worklist refinement: a queue of splitter classes; for each splitter,
     vertices are regrouped by their neighbour count into it (a
@@ -79,7 +79,7 @@ def indexed_colour_partition(
 
     from repro import kernel
 
-    tier = kernel.resolve("wl", n + len(graph.targets), backend)
+    tier = kernel.select("wl", n + len(graph.targets))
     if tier == "numpy":
         from repro.kernel import wl_numpy
 

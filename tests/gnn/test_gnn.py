@@ -10,6 +10,7 @@ from repro.gnn import (
     minimum_gnn_order,
 )
 from repro.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -51,6 +52,17 @@ class TestModel:
         equal-size graphs at order 1."""
         shallow = OrderKGNN(1, num_layers=0)
         assert not shallow.distinguishes(path_graph(4), star_graph(3))
+
+    def test_layer_cap_stops_the_shared_palette(self):
+        """P6 and C3+P3 agree after one round of refinement and separate
+        at round two, so only a cap of at least two layers tells them
+        apart."""
+        p6 = path_graph(6)
+        c3_p3 = Graph(edges=[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)])
+        for layers in (0, 1):
+            assert not OrderKGNN(1, num_layers=layers).distinguishes(p6, c3_p3)
+        for layers in (2, None):
+            assert OrderKGNN(1, num_layers=layers).distinguishes(p6, c3_p3)
 
     def test_readout_histogram_total(self):
         gnn = OrderKGNN(2)

@@ -92,6 +92,39 @@ class TestPreparedPattern:
                 count_homomorphisms_brute(pattern, target)
             )
 
+    def test_plan_compiled_once_per_root_on_every_tier(self, monkeypatch):
+        from repro import kernel
+        from repro.engine import plans
+
+        calls = []
+        compile_dp_plan = plans.compile_dp_plan
+
+        def counting_compile(pattern, root=None):
+            calls.append(pattern)
+            return compile_dp_plan(pattern, root)
+
+        monkeypatch.setattr(plans, "compile_dp_plan", counting_compile)
+        pattern = grid_graph(2, 3)
+        root = prepared_pattern(pattern)
+        targets = [random_graph(n, 0.4, seed=n) for n in (5, 8, 40)]
+        tiers = ["python"] + (["numpy"] if kernel.numpy_available() else [])
+        for tier in tiers:
+            with kernel.force_backend(tier):
+                for target in targets:
+                    assert count_homomorphisms_dp(
+                        pattern, target, root=root,
+                    ) == count_homomorphisms_brute(pattern, target)
+        assert calls == [pattern]
+
+        # The memo is keyed on pattern identity: an equal but distinct
+        # pattern object compiles afresh.
+        twin = grid_graph(2, 3)
+        target = targets[0]
+        assert count_homomorphisms_dp(twin, target, root=root) == (
+            count_homomorphisms_brute(twin, target)
+        )
+        assert len(calls) == 2 and calls[1] is twin
+
     def test_larger_pattern_feasible(self):
         """A 9-vertex treewidth-2 pattern against an 8-vertex target —
         infeasible regions for naive |V(G)|^|V(H)| enumeration shrink to

@@ -149,6 +149,19 @@ class TestColourRefinement:
         source = KnowledgeGraph(triples=[("c", "r", "a"), ("c", "r", "b")])
         assert not kg_wl_1_equivalent(sink, source)
 
+    def test_kg_wl1_separates_at_round_two(self):
+        # Directed, single-label P6 vs C3 + P3: equal in/out degree
+        # histograms after one round, separated at round two.
+        path = KnowledgeGraph(
+            triples=[(i, "r", i + 1) for i in range(5)],
+        )
+        cycle_and_path = KnowledgeGraph(
+            triples=[
+                (0, "r", 1), (1, "r", 2), (2, "r", 0), (3, "r", 4), (4, "r", 5),
+            ],
+        )
+        assert not kg_wl_1_equivalent(path, cycle_and_path)
+
 
 class TestKgQueries:
     def test_answer_counting(self):
