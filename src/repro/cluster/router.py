@@ -43,14 +43,15 @@ from repro.obs import (
     registry as metrics_registry,
     span,
 )
-from repro.service.server import VERB_ROUTES, ServiceServer, read_http_head
+from repro.service.http import format_head, read_http_head, wants_keep_alive
+from repro.service.server import VERB_ROUTES, ServiceServer
 from repro.cluster.ring import HashRing
 from repro.cluster.state import REPLICATED_ROUTES, ClusterState
 from repro.utils import stable_key_digest
 
 import logging
 
-__all__ = ["ClusterRouter", "RouterServer", "WorkerUnreachable"]
+__all__ = ["ClusterRouter", "ConnectionPool", "RouterServer", "WorkerUnreachable"]
 
 _log = get_logger("cluster.router")
 
@@ -72,6 +73,43 @@ class WorkerUnreachable(ConnectionError):
         self.worker_id = worker_id
 
 
+class ConnectionPool:
+    """Idle keep-alive connections, per worker endpoint.
+
+    A connection comes back here only after its response was read in
+    full; one whose call errored or was cancelled (a hedge loser, a
+    timeout) is closed instead.  Each router owns its pool: a pool holds
+    streams bound to one event loop.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple[str, int], list[tuple]] = {}
+
+    def take(self, endpoint: tuple[str, int]) -> tuple | None:
+        """An idle ``(reader, writer)`` to ``endpoint``, or ``None``."""
+        idle = self._idle.get(endpoint, [])
+        while idle:
+            reader, writer = idle.pop()
+            if not reader.at_eof() and not writer.is_closing():
+                return reader, writer
+            writer.close()
+        return None
+
+    def put(self, endpoint: tuple[str, int], connection: tuple) -> None:
+        self._idle.setdefault(endpoint, []).append(connection)
+
+    def close(self, endpoint: tuple[str, int] | None = None) -> None:
+        """Close the idle connections to ``endpoint`` (default: all)."""
+        endpoints = list(self._idle) if endpoint is None else [endpoint]
+        for key in endpoints:
+            for _, writer in self._idle.pop(key, []):
+                writer.close()
+
+
+class _StaleConnection(Exception):
+    """A reused connection failed before the response head arrived."""
+
+
 async def http_call(
     host: str,
     port: int,
@@ -80,41 +118,63 @@ async def http_call(
     body: dict | None = None,
     timeout: float = 30.0,
     trace_id: str | None = None,
+    pool: ConnectionPool | None = None,
 ) -> tuple[int, dict | str]:
-    """One HTTP/1.1 request over a fresh connection (the service answers
-    ``Connection: close``).  Returns ``(status, decoded payload)``; any
-    transport failure raises ``OSError``/``IncompleteReadError``."""
+    """One HTTP/1.1 request.  Returns ``(status, decoded payload)``; any
+    transport failure raises ``OSError``/``IncompleteReadError``.
 
-    async def call() -> tuple[int, dict | str]:
-        reader, writer = await asyncio.open_connection(host, port)
+    Without a ``pool`` the request goes over a fresh connection that
+    closes after the response.  With one, it asks for keep-alive and
+    reuses an idle connection to the endpoint when there is one; if that
+    connection fails before the response head (the worker closed it
+    while idle), the request is sent once more on a fresh connection.
+    """
+    endpoint = (host, port)
+    data = json.dumps(body).encode("utf-8") if body is not None else b""
+    request = format_head(f"{method} {path} HTTP/1.1", {
+        "Host": f"{host}:{port}",
+        "Content-Type": "application/json",
+        "Content-Length": len(data),
+        "X-Repro-Trace": trace_id,
+        "Connection": "keep-alive" if pool is not None else "close",
+    }) + data
+
+    async def exchange(reader, writer, reused: bool) -> tuple[int, dict | str]:
+        pooled = False
         try:
-            data = json.dumps(body).encode("utf-8") if body is not None else b""
-            trace = f"X-Repro-Trace: {trace_id}\r\n" if trace_id else ""
-            writer.write(
-                (
-                    f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {host}:{port}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{trace}"
-                    "Connection: close\r\n\r\n"
-                ).encode("ascii") + data,
-            )
-            await writer.drain()
-            parts, headers, length = await read_http_head(reader)
+            try:
+                writer.write(request)
+                await writer.drain()
+                parts, headers, length = await read_http_head(reader)
+            except ConnectionError as error:
+                if reused:
+                    raise _StaleConnection from error
+                raise
             if len(parts) < 2 or not parts[1].isdigit():
                 raise ConnectionError(f"malformed status line {parts!r}")
             status = int(parts[1])
             raw = await reader.readexactly(length) if length else b""
             if headers.get("content-type", "").startswith("application/json"):
-                return status, json.loads(raw) if raw else {}
-            return status, raw.decode("utf-8", "replace")
+                payload: dict | str = json.loads(raw) if raw else {}
+            else:
+                payload = raw.decode("utf-8", "replace")
+            if pool is not None and wants_keep_alive(headers):
+                pool.put(endpoint, (reader, writer))
+                pooled = True
+            return status, payload
         finally:
-            writer.close()
+            if not pooled:
+                writer.close()
+
+    async def call() -> tuple[int, dict | str]:
+        idle = pool.take(endpoint) if pool is not None else None
+        if idle is not None:
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
+                return await exchange(*idle, reused=True)
+            except _StaleConnection:
                 pass
+        reader, writer = await asyncio.open_connection(host, port)
+        return await exchange(reader, writer, reused=False)
 
     return await asyncio.wait_for(call(), timeout=timeout)
 
@@ -149,6 +209,8 @@ class ClusterRouter:
         self._membership = asyncio.Event()
         self._mutate_lock = asyncio.Lock()
         self._inflight: dict[str, asyncio.Future] = {}
+        #: Keep-alive connections to workers, shared by every call path.
+        self._pool = ConnectionPool()
         self.request_counts: dict[str, int] = {}
         registry = metrics_registry()
         self._requests_total = registry.counter(
@@ -176,6 +238,7 @@ class ClusterRouter:
 
     def close(self) -> None:
         metrics_registry().unregister_collector(self._collect_metrics)
+        self._pool.close()
 
     # ------------------------------------------------------------------
     # membership
@@ -202,7 +265,7 @@ class ClusterRouter:
                     try:
                         status, payload = await http_call(
                             host, port, "POST", entry.path, entry.body,
-                            timeout=self.request_timeout,
+                            timeout=self.request_timeout, pool=self._pool,
                         )
                     except (OSError, asyncio.IncompleteReadError,
                             asyncio.TimeoutError, ValueError) as error:
@@ -235,7 +298,7 @@ class ClusterRouter:
         """
         if worker_id not in self._workers:
             return
-        del self._workers[worker_id]
+        self._pool.close(self._workers.pop(worker_id))
         self.ring.remove(worker_id)
         if not self._workers:
             self._membership.clear()
@@ -369,7 +432,7 @@ class ClusterRouter:
                     task = asyncio.create_task(http_call(
                         endpoint[0], endpoint[1], "POST", path, body,
                         timeout=max(0.05, deadline - loop.time()),
-                        trace_id=trace_id,
+                        trace_id=trace_id, pool=self._pool,
                     ))
                     pending[task] = worker_id
                 if not pending:
@@ -448,6 +511,7 @@ class ClusterRouter:
                     status, payload = await http_call(
                         endpoint[0], endpoint[1], "POST", path, body,
                         timeout=self.request_timeout, trace_id=trace_id,
+                        pool=self._pool,
                     )
                 except (OSError, asyncio.IncompleteReadError,
                         asyncio.TimeoutError, ValueError) as error:
@@ -488,7 +552,10 @@ class ClusterRouter:
         """One probe per admitted worker; ``None`` marks unreachable."""
         ids = self.worker_ids
         results = await asyncio.gather(*[
-            http_call(*self._workers[wid], method, path, timeout=10.0)
+            http_call(
+                *self._workers[wid], method, path, timeout=10.0,
+                pool=self._pool,
+            )
             for wid in ids if wid in self._workers
         ], return_exceptions=True)
         verdicts: dict[str, tuple[int, dict | str] | None] = {}
@@ -660,7 +727,7 @@ class ClusterRouter:
                 return await http_call(
                     endpoint[0], endpoint[1], method, path,
                     body or None, timeout=self.request_timeout,
-                    trace_id=trace_id,
+                    trace_id=trace_id, pool=self._pool,
                 )
             except (OSError, asyncio.IncompleteReadError,
                     asyncio.TimeoutError, ValueError) as error:
@@ -733,14 +800,8 @@ class RouterServer(ServiceServer):
         self.router = router
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         self.router.close()

@@ -1,12 +1,12 @@
 """A stdlib Python client for the counting service.
 
-Wraps ``http.client`` (blocking, connection-per-request — the server
-answers ``Connection: close``) around the wire format of
-:mod:`repro.service.wire`.  Every counting call constructs the canonical
-:mod:`repro.api.tasks` spec and sends its exact wire payload, so the
-client, the CLI, and the server all speak one encoding; rich objects
-(``Graph``, ``KnowledgeGraph``, ``KgQuery``) and raw spec dicts are
-accepted interchangeably.
+Wraps ``http.client`` (blocking; one keep-alive connection per calling
+thread, reopened when the server has closed it) around the wire format
+of :mod:`repro.service.wire`.  Every counting call constructs the
+canonical :mod:`repro.api.tasks` spec and sends its exact wire payload,
+so the client, the CLI, and the server all speak one encoding; rich
+objects (``Graph``, ``KnowledgeGraph``, ``KgQuery``) and raw spec dicts
+are accepted interchangeably.
 
 Error responses carry ``{"kind": "error", "error": msg, "code": code}``;
 the raised :class:`ServiceError` exposes both ``status`` and ``code``.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Mapping
 
 from repro.errors import ServiceError
@@ -45,6 +46,14 @@ def _as_graph_spec(value) -> dict:
     )
 
 
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection that closes its socket when dropped, with
+    its thread or with its client."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServiceClient:
     """Talk to a running ``repro serve`` instance."""
 
@@ -60,6 +69,9 @@ class ServiceClient:
         #: Trace id of the most recent response (the server's
         #: ``X-Repro-Trace`` header), for correlating with ``/traces``.
         self.last_trace_id: str | None = None
+        # http.client connections are not thread-safe, and one client may
+        # be shared by several sender threads: one connection per thread.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # transport
@@ -67,30 +79,44 @@ class ServiceClient:
     def _request_raw(
         self, method: str, path: str, payload: dict | None = None,
     ) -> tuple[int, bytes]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout,
-        )
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        headers = {"Connection": "keep-alive"}
+        if body:
+            headers["Content-Type"] = "application/json"
+        trace_id = current_trace_id()
+        if trace_id is not None:
+            # Propagate the caller's trace: the server's root span
+            # adopts this id, so one trace follows the request across
+            # the wire (client span tree + server /traces entries).
+            headers["X-Repro-Trace"] = trace_id
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = _Connection(
+                self.host, self.port, timeout=self.timeout,
+            )
+        reused = connection.sock is not None
         try:
-            body = json.dumps(payload).encode("utf-8") if payload is not None else None
-            headers = {"Content-Type": "application/json"} if body else {}
-            trace_id = current_trace_id()
-            if trace_id is not None:
-                # Propagate the caller's trace: the server's root span
-                # adopts this id, so one trace follows the request across
-                # the wire (client span tree + server /traces entries).
-                headers["X-Repro-Trace"] = trace_id
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                # The server closes a keep-alive connection only after a
+                # full response or at shutdown, so a reused one that fails
+                # before answering never saw this request: send it once
+                # more on a fresh connection.
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
             data = response.read()
-            status = response.status
-            self.last_trace_id = response.getheader("X-Repro-Trace")
         except (OSError, http.client.HTTPException) as error:
+            connection.close()
             raise ServiceError(
                 f"cannot reach service at {self.host}:{self.port}: {error}",
             ) from error
-        finally:
-            connection.close()
-        return status, data
+        self.last_trace_id = response.getheader("X-Repro-Trace")
+        return response.status, data
 
     def request(self, method: str, path: str, payload: dict | None = None) -> dict:
         status, data = self._request_raw(method, path, payload)

@@ -3,10 +3,11 @@
 Layers (top to bottom):
 
 * :class:`ServiceServer` / :class:`BackgroundServer` — a minimal
-  HTTP/1.1 loop on ``asyncio.start_server`` (stdlib only: parse request
-  line + headers with :func:`read_http_head`, which the cluster router
-  shares for responses, read ``Content-Length`` body, answer JSON,
-  close);
+  HTTP/1.1 loop on ``asyncio.start_server`` (stdlib only, framing from
+  :mod:`repro.service.http`, which the cluster router shares: parse
+  request line + headers, read ``Content-Length`` body, answer JSON;
+  keep the connection open for the next request only when the client
+  sent ``Connection: keep-alive``, otherwise close);
 * :class:`CountingService` — the operations.  Every counting route has
   one admission path: the body decodes off the event loop into a
   canonical :mod:`repro.api.tasks` spec, executes on a
@@ -119,6 +120,7 @@ from repro.obs.health import (
     ok as probe_ok,
 )
 from repro.obs.slo import tracker as slo_tracker
+from repro.service.http import format_head, read_http_head, wants_keep_alive
 from repro.service.registry import DatasetRegistry, RegistryError
 from repro.service.scheduler import RequestScheduler
 from repro.service.store import PersistentStore, stable_key_digest
@@ -928,27 +930,6 @@ class CountingService:
 # ----------------------------------------------------------------------
 # HTTP transport
 # ----------------------------------------------------------------------
-async def read_http_head(
-    reader: asyncio.StreamReader,
-) -> tuple[list[str], dict[str, str], int]:
-    """Read one HTTP/1.1 message head — a request's or a response's.
-
-    Returns the start line split on whitespace, the headers (names
-    lower-cased) and the ``Content-Length`` (0 when absent).  Raises
-    ``ValueError`` for a non-integer length; judging the start line is
-    the caller's job.
-    """
-    start_line = (await reader.readline()).decode("ascii", "replace").split()
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("ascii", "replace").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return start_line, headers, int(headers.get("content-length", "0") or "0")
-
-
 class ServiceServer:
     """Bind a :class:`CountingService` to a TCP port (asyncio, HTTP/1.1)."""
 
@@ -962,23 +943,39 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: asyncio.base_events.Server | None = None
+        # Open connections, so stop() can close idle keep-alive ones:
+        # from Python 3.12, Server.wait_closed() waits for all of them.
+        self._connections: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def start(self) -> None:
         await self.service.scheduler.start()
         self.service.start_monitors(asyncio.get_running_loop())
+        await self._listen()
+
+    async def stop(self) -> None:
+        await self._close_listener()
+        self.service.stop_monitors()
+        await self.service.scheduler.stop()
+        self.service.close()
+
+    async def _listen(self) -> None:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.service.stop_monitors()
-        await self.service.scheduler.stop()
-        self.service.close()
+    async def _close_listener(self) -> None:
+        """Stop accepting, close every open connection, wait for the
+        listener to wind down."""
+        if self._server is None:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in list(self._connections):
+            writer.close()
+        await self._server.wait_closed()
+        self._server = None
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -990,36 +987,40 @@ class ServiceServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        """Serve requests on one connection until a response goes out
+        with ``Connection: close``, or the client hangs up between
+        requests."""
+        self._connections.add(writer)
         try:
-            status, payload, trace_id = await self._handle_request(reader)
-            if isinstance(payload, str):
-                data = payload.encode("utf-8")
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
-            else:
-                data = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
-            reason = {
-                200: "OK",
-                400: "Bad Request",
-                404: "Not Found",
-                503: "Service Unavailable",
-            }.get(status, "Internal Server Error")
-            trace_header = (
-                f"X-Repro-Trace: {trace_id}\r\n" if trace_id else ""
-            )
-            writer.write(
-                (
-                    f"HTTP/1.1 {status} {reason}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{trace_header}"
-                    "Connection: close\r\n\r\n"
-                ).encode("ascii") + data,
-            )
-            await writer.drain()
+            keep_alive = not self._closing
+            while keep_alive:
+                status, payload, trace_id, keep_alive = await self._handle_request(
+                    reader,
+                )
+                keep_alive = keep_alive and not self._closing
+                if isinstance(payload, str):
+                    data = payload.encode("utf-8")
+                    content_type = "text/plain; version=0.0.4; charset=utf-8"
+                else:
+                    data = json.dumps(payload).encode("utf-8")
+                    content_type = "application/json"
+                reason = {
+                    200: "OK",
+                    400: "Bad Request",
+                    404: "Not Found",
+                    503: "Service Unavailable",
+                }.get(status, "Internal Server Error")
+                writer.write(format_head(f"HTTP/1.1 {status} {reason}", {
+                    "Content-Type": content_type,
+                    "Content-Length": len(data),
+                    "X-Repro-Trace": trace_id,
+                    "Connection": "keep-alive" if keep_alive else "close",
+                }) + data)
+                await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+            pass  # includes ConnectionClosed: EOF between requests
         finally:
+            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1028,28 +1029,34 @@ class ServiceServer:
 
     async def _handle_request(
         self, reader: asyncio.StreamReader,
-    ) -> tuple[int, dict | str, str | None]:
+    ) -> tuple[int, dict | str, str | None, bool]:
+        """Read and answer one request: ``(status, payload, trace_id,
+        keep_alive)``.  A malformed head or body answers 400 and closes."""
         try:
             parts, headers, length = await read_http_head(reader)
             if len(parts) < 2:
-                return 400, _bad_request("malformed request line"), None
+                return 400, _bad_request("malformed request line"), None, False
             method, target = parts[0], parts[1]
             path, _, query = target.partition("?")
             if length > _MAX_BODY:
-                return 400, _bad_request("request body too large"), None
+                return 400, _bad_request("request body too large"), None, False
             raw = await reader.readexactly(length) if length else b""
             body = json.loads(raw) if raw else {}
             if not isinstance(body, dict):
-                return 400, _bad_request("request body must be a JSON object"), None
+                return (
+                    400, _bad_request("request body must be a JSON object"),
+                    None, False,
+                )
             if query:
                 # Query parameters fill body fields (body wins), so GET
                 # routes take options: /metrics?format=json, /traces?limit=5.
                 for key, value in parse_qsl(query):
                     body.setdefault(key, value)
         except (ValueError, UnicodeDecodeError) as error:
-            return 400, _bad_request(f"bad request: {error}"), None
+            return 400, _bad_request(f"bad request: {error}"), None, False
+        keep_alive = wants_keep_alive(headers)
         try:
-            return await self.service.handle(
+            status, payload, trace_id = await self.service.handle(
                 method, path, body,
                 client_trace=headers.get("x-repro-trace"),
             )
@@ -1058,7 +1065,8 @@ class ServiceServer:
                 "kind": "error",
                 "error": f"{type(error).__name__}: {error}",
                 "code": "internal-error",
-            }, None
+            }, None, keep_alive
+        return status, payload, trace_id, keep_alive
 
 
 def run_server(
